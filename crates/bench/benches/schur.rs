@@ -2,8 +2,9 @@
 //! (the per-phase derivative-graph cost of §2.4).
 
 use cct_graph::generators;
+use cct_linalg::{PMatrix, Repr};
 use cct_schur::{
-    schur_transition_exact, schur_transition_from_shortcut, shortcut_by_squaring, shortcut_exact,
+    schur_transition_exact, schur_transition_from_shortcut_p, shortcut_by_squaring, shortcut_exact,
     VertexSubset,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -24,14 +25,14 @@ fn bench_schur(c: &mut Criterion) {
             b.iter(|| shortcut_exact(&g, &s));
         });
         group.bench_with_input(BenchmarkId::new("shortcut_squaring", n), &n, |b, _| {
-            b.iter(|| shortcut_by_squaring(&g, &s, 1e-10, 64));
+            b.iter(|| shortcut_by_squaring(&g, &s, 1e-10, 64, Repr::Dense));
         });
         group.bench_with_input(BenchmarkId::new("schur_laplacian", n), &n, |b, _| {
             b.iter(|| schur_transition_exact(&g, &s));
         });
-        let q = shortcut_exact(&g, &s);
+        let q = PMatrix::Dense(shortcut_exact(&g, &s));
         group.bench_with_input(BenchmarkId::new("schur_via_corollary3", n), &n, |b, _| {
-            b.iter(|| schur_transition_from_shortcut(&g, &s, &q));
+            b.iter(|| schur_transition_from_shortcut_p(&g, &s, &q));
         });
     }
     group.finish();

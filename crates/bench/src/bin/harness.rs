@@ -38,8 +38,8 @@ OPTIONS:
                       ratio; e20: peak resident prepared-state bytes
                       and their per-family scaling ratio; e21: the MST
                       and weighted-thm1 round totals; e22: the panel-
-                      and f32-kernel same-run speedup ratios — timing
-                      ratios, so the gate is machine-independent)
+                      kernel same-run speedup ratios — timing ratios,
+                      so the gate is machine-independent)
     --help            this text
 ";
 

@@ -94,11 +94,10 @@ fn speedup_floor(base: f64) -> f64 {
 /// pre-panel loop, timed back to back in one process), so the gate is
 /// machine-independent:
 ///
-/// * `dense[].panel_speedup` and `dense[].f32_speedup` — the panel
-///   microkernel's and the f32-storage route's win over the reference
-///   dense loop, per matrix size `n`;
-/// * `sparse[].panel_speedup` and `sparse[].f32_speedup` — the same two
-///   ratios for the CSR × dense-RHS kernel vs the old scalar loop.
+/// * `dense[].panel_speedup` — the panel microkernel's win over the
+///   reference dense loop, per matrix size `n`;
+/// * `sparse[].panel_speedup` — the same ratio for the CSR × dense-RHS
+///   kernel vs the old scalar loop.
 ///
 /// Each ratio is held to [`speedup_floor`]: keep at least half the
 /// baseline's margin over ×1. The `stealing` section (work stealing vs
@@ -145,16 +144,12 @@ pub fn check_e22_against_baseline(current: &Json, baseline: &Json) -> Result<Gat
             };
             let cur_panel = metric(row, "panel_speedup")?;
             let base_panel = metric(base_row, "panel_speedup")?;
-            let cur_f32 = metric(row, "f32_speedup")?;
-            let base_f32 = metric(base_row, "f32_speedup")?;
             let panel_floor = speedup_floor(base_panel);
-            let f32_floor = speedup_floor(base_f32);
             let line = format!(
                 "{section}/n={n}: panel ×{cur_panel:.2} vs baseline ×{base_panel:.2} \
-                 (floor ×{panel_floor:.2}); f32 ×{cur_f32:.2} vs ×{base_f32:.2} \
-                 (floor ×{f32_floor:.2})"
+                 (floor ×{panel_floor:.2})"
             );
-            if cur_panel < panel_floor || cur_f32 < f32_floor {
+            if cur_panel < panel_floor {
                 report.regressions.push(line.clone());
             }
             report.compared.push(line);
@@ -813,15 +808,14 @@ mod tests {
         assert!(disjoint.compared[0].contains("nothing gated"));
     }
 
-    fn e22_report(dense: &[(f64, f64, f64)], sparse: &[(f64, f64, f64)]) -> Json {
-        let rows = |data: &[(f64, f64, f64)]| {
+    fn e22_report(dense: &[(f64, f64)], sparse: &[(f64, f64)]) -> Json {
+        let rows = |data: &[(f64, f64)]| {
             Json::Arr(
                 data.iter()
-                    .map(|&(n, panel, f32x)| {
+                    .map(|&(n, panel)| {
                         Json::Obj(vec![
                             ("n".into(), Json::Num(n)),
                             ("panel_speedup".into(), Json::Num(panel)),
-                            ("f32_speedup".into(), Json::Num(f32x)),
                         ])
                     })
                     .collect(),
@@ -840,37 +834,32 @@ mod tests {
 
     #[test]
     fn e22_gate_holds_both_speedups_to_the_margin_floor() {
-        // Baseline: panel ×2.0 (floor ×1.5), f32 ×3.0 (floor ×2.0).
-        let baseline = e22_report(&[(256.0, 2.0, 3.0)], &[(1024.0, 1.8, 2.2)]);
-        let ok = check_e22_against_baseline(
-            &e22_report(&[(256.0, 1.6, 2.1)], &[(1024.0, 1.5, 1.7)]),
-            &baseline,
-        )
-        .unwrap();
+        // Baseline: dense panel ×2.0 (floor ×1.5), sparse panel ×1.8
+        // (floor ×1.4).
+        let baseline = e22_report(&[(256.0, 2.0)], &[(1024.0, 1.8)]);
+        let ok =
+            check_e22_against_baseline(&e22_report(&[(256.0, 1.6)], &[(1024.0, 1.5)]), &baseline)
+                .unwrap();
         assert!(ok.passed(), "{:?}", ok.regressions);
-        // Panel win collapsed below its floor: regression.
-        let bad_panel = check_e22_against_baseline(
-            &e22_report(&[(256.0, 1.4, 3.0)], &[(1024.0, 1.8, 2.2)]),
-            &baseline,
-        )
-        .unwrap();
-        assert!(!bad_panel.passed());
-        // f32 win collapsed in the sparse section: regression.
-        let bad_f32 = check_e22_against_baseline(
-            &e22_report(&[(256.0, 2.0, 3.0)], &[(1024.0, 1.8, 1.5)]),
-            &baseline,
-        )
-        .unwrap();
-        assert!(!bad_f32.passed());
+        // Dense panel win collapsed below its floor: regression.
+        let bad_dense =
+            check_e22_against_baseline(&e22_report(&[(256.0, 1.4)], &[(1024.0, 1.8)]), &baseline)
+                .unwrap();
+        assert!(!bad_dense.passed());
+        // Sparse panel win collapsed below its floor: regression.
+        let bad_sparse =
+            check_e22_against_baseline(&e22_report(&[(256.0, 2.0)], &[(1024.0, 1.3)]), &baseline)
+                .unwrap();
+        assert!(!bad_sparse.passed());
         // A never-was-a-win baseline (≤ ×1) falls back to base/2: an
         // equal current value passes.
-        let flat_base = e22_report(&[(256.0, 0.9, 0.9)], &[]);
+        let flat_base = e22_report(&[(256.0, 0.9)], &[]);
         let flat = check_e22_against_baseline(&flat_base, &flat_base).unwrap();
         assert!(flat.passed(), "{:?}", flat.regressions);
         // Non-overlapping rows pass vacuously; the stealing ratio is
         // reported but never gated.
         let disjoint =
-            check_e22_against_baseline(&e22_report(&[(384.0, 0.1, 0.1)], &[]), &baseline).unwrap();
+            check_e22_against_baseline(&e22_report(&[(384.0, 0.1)], &[]), &baseline).unwrap();
         assert!(disjoint.passed());
         assert!(disjoint.compared[0].contains("nothing gated"));
         assert!(disjoint.compared[1].contains("not gated"));
@@ -911,7 +900,7 @@ mod tests {
             &[("path", 16384.0, 131072.0, 8.0)],
         );
         let e21 = e21_report(&[("grid-w", 64.0, 40.0, 1_200.0)]);
-        let e22 = e22_report(&[(256.0, 2.0, 3.0)], &[(1024.0, 1.8, 2.2)]);
+        let e22 = e22_report(&[(256.0, 2.0)], &[(1024.0, 1.8)]);
         let serve = serve_report(40.0);
         assert!(check_against_baseline(&e18, &e18).unwrap().passed());
         assert!(check_against_baseline(&e19, &e19).unwrap().passed());

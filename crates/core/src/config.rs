@@ -210,58 +210,22 @@ pub enum SchurComputation {
 }
 
 /// Numeric precision of the transition-matrix pipeline.
-///
-/// `F32` is the opt-in fast path: matrix entries are rounded toward
-/// zero to the binary32 grid after every squaring (and once up front),
-/// so binary32's 24-bit significand plays the role of Lemma 7's
-/// truncation width with `δ = 2⁻²⁴`. Same seed ⇒ same tree at every
-/// worker count and backend within a precision mode, but f32 trees are
-/// **not** comparable to f64 trees — the mode changes the sampled
-/// distribution by the (bounded) statistical distance of §2.5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Precision {
     /// Plain `f64` (default; §2.5 precision effects off).
     Float64,
     /// Fixed-point truncation after every squaring, per Lemma 7.
     Fixed(FixedPoint),
-    /// Binary32 truncation after every squaring (the f32 fast path).
-    F32,
 }
 
 impl Precision {
-    /// The CLI/wire name. `Fixed` is a programmatic setting with no
-    /// wire spelling; it reports as `"fixed"` for display only.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Precision::Float64 => "f64",
-            Precision::F32 => "f32",
-            Precision::Fixed(_) => "fixed",
-        }
-    }
-
-    /// Parses a CLI/wire name (`f64` / `f32`).
-    pub fn parse(s: &str) -> Option<Precision> {
-        match s {
-            "f64" => Some(Precision::Float64),
-            "f32" => Some(Precision::F32),
-            _ => None,
-        }
-    }
-
     /// The linalg rounding rule this precision applies between
     /// squarings.
     pub fn rounding(self) -> Rounding {
         match self {
             Precision::Float64 => Rounding::Exact,
             Precision::Fixed(fp) => Rounding::Fixed(fp),
-            Precision::F32 => Rounding::F32,
         }
-    }
-}
-
-impl std::fmt::Display for Precision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
     }
 }
 
@@ -531,17 +495,10 @@ mod tests {
     }
 
     #[test]
-    fn precision_names_and_rounding() {
-        assert_eq!(Precision::parse("f64"), Some(Precision::Float64));
-        assert_eq!(Precision::parse("f32"), Some(Precision::F32));
-        assert_eq!(Precision::parse("fixed"), None, "not a wire mode");
-        assert_eq!(Precision::Float64.as_str(), "f64");
-        assert_eq!(Precision::F32.to_string(), "f32");
+    fn precision_maps_to_its_rounding_rule() {
         assert_eq!(Precision::Float64.rounding(), Rounding::Exact);
-        assert_eq!(Precision::F32.rounding(), Rounding::F32);
         let fp = FixedPoint::new(8);
         assert_eq!(Precision::Fixed(fp).rounding(), Rounding::Fixed(fp));
-        assert_eq!(Precision::Fixed(fp).as_str(), "fixed");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::report::{PhaseMethod, PhaseReport, SampleReport};
 use cct_graph::{Graph, SpanningTree};
 use cct_linalg::{CsrMatrix, Matrix, PMatrix, Repr};
 use cct_schur::{
-    sample_first_visit_edge_with, schur_transition_from_shortcut_p, shortcut_by_squaring_pmatrix,
+    sample_first_visit_edge_with, schur_transition_from_shortcut_p, shortcut_by_squaring,
     shortcut_exact, VertexSubset,
 };
 use cct_sim::{
@@ -167,7 +167,11 @@ fn resolve_config(config: &SamplerConfig, g: &Graph) -> ResolvedConfig {
     let ell0 = match config.walk_length {
         WalkLength::Paper { .. } => {
             let w = g.max_weight().max(1.0).round() as u64;
-            (config.walk_length.resolve(n).saturating_mul(w)).next_power_of_two()
+            // Saturate at 2⁶² as `WalkLength::resolve` does: a
+            // saturated u64 product would wrap to 0 in
+            // `next_power_of_two`.
+            let scaled = config.walk_length.resolve(n).saturating_mul(w);
+            scaled.min(1 << 62).next_power_of_two()
         }
         _ => config.walk_length.resolve(n),
     };
@@ -383,10 +387,9 @@ fn sample_with<R: Rng + ?Sized>(
             let q = match config.schur {
                 SchurComputation::ExactSolve => PMatrix::Dense(shortcut_exact(g, &s)),
                 SchurComputation::IteratedSquaring { tol } => {
-                    // The adaptive route: starts in the backend's
-                    // representation, promoting per the fill-in tracker;
-                    // bit-identical to the dense block route.
-                    shortcut_by_squaring_pmatrix(g, &s, tol, 64, repr).0
+                    // Starts in the backend's representation, promoting
+                    // per the fill-in tracker; bit-identical in both.
+                    shortcut_by_squaring(g, &s, tol, 64, repr).0
                 }
             };
             // Corollary 2's chain is 2n × 2n: charge the paper's
@@ -395,8 +398,10 @@ fn sample_with<R: Rng + ?Sized>(
             // published bill), not measured from the local computation:
             // the local route exploits the chain's block structure
             // ([[T, A], [0, I]] squares in two n × n products — see
-            // `cct_schur::shortcut_by_squaring`), an optimization of the
-            // simulation, not of the simulated network algorithm.
+            // `cct_schur::shortcut_by_squaring`, whose full-chain
+            // reference is `cct_schur::shortcut_by_squaring_dense`), an
+            // optimization of the simulation, not of the simulated
+            // network algorithm.
             let squarings = charged_schur_squarings(n);
             clique
                 .ledger_mut()
@@ -1191,6 +1196,15 @@ mod tests {
         let report = sampler.sample(&g, &mut r).unwrap();
         assert!(!report.monte_carlo_failure);
         assert_eq!(report.tree.edges().len(), 6);
+        // Weights far past u64 range under the paper's ℓ: the scaled
+        // budget saturates at 2⁶² instead of wrapping to 0.
+        let w = 1e200;
+        let heavy =
+            Graph::from_weighted_edges(4, &[(0, 1, w), (1, 2, w), (0, 2, w), (2, 3, w)]).unwrap();
+        let report = CliqueTreeSampler::new(SamplerConfig::new())
+            .sample(&heavy, &mut r)
+            .unwrap();
+        assert_eq!(report.tree.edges().len(), 3);
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //! of transient triples plus the final `O(nnz)` adjacency, never `Θ(n²)`
 //! of anything. Structural validation (range, self-loops, duplicates) is
 //! delegated to [`Graph::from_weighted_edges`], so a file rejects with
-//! the same typed [`GraphError`] a programmatic caller would see.
+//! the same typed [`GraphError`] a programmatic caller would see. A file
+//! whose max/min weight ratio exceeds `max(n, 32)⁴` is rejected too
+//! ([`EdgeListError::WeightRatio`]): the sampler's walk-length budget
+//! assumes polynomially bounded weights.
 //!
 //! The spec form `file:PATH` ([`crate::spec`]) routes CLI `--graph` and
 //! service `graph_spec` requests here.
@@ -56,6 +59,23 @@ pub enum EdgeListError {
     Graph(GraphError),
     /// The file contained no edges at all.
     Empty,
+    /// The largest and smallest edge weights are further apart than the
+    /// polynomial bound `max(n, 32)⁴` allows for the file's vertex count.
+    WeightRatio {
+        /// The file's max/min weight ratio.
+        ratio: f64,
+        /// The largest ratio admitted at this vertex count.
+        bound: f64,
+    },
+}
+
+/// The largest max/min edge-weight ratio a loaded graph on `n` vertices
+/// may have: `max(n, 32)⁴`. The paper assumes weights polynomially
+/// bounded in `n` (footnote 1: the cover time, and so the walk-length
+/// budget `ℓ`, scales with the weight ratio); the floor of 32 keeps small
+/// graphs from rejecting ratios up to about 10⁶.
+fn max_weight_ratio(n: usize) -> f64 {
+    (n.max(32) as f64).powi(4)
 }
 
 impl std::fmt::Display for EdgeListError {
@@ -72,6 +92,11 @@ impl std::fmt::Display for EdgeListError {
             ),
             EdgeListError::Graph(e) => write!(f, "edge list is not a valid graph: {e:?}"),
             EdgeListError::Empty => f.write_str("edge list contains no edges"),
+            EdgeListError::WeightRatio { ratio, bound } => write!(
+                f,
+                "edge list weights span a max/min ratio of {ratio:.3e}, past the \
+                 polynomial bound max(n, 32)^4 = {bound:.3e} for its vertex count"
+            ),
         }
     }
 }
@@ -189,7 +214,16 @@ pub fn parse_edge_list<R: BufRead>(reader: R) -> Result<Graph, EdgeListError> {
     if edges.is_empty() {
         return Err(EdgeListError::Empty);
     }
-    Ok(Graph::from_weighted_edges(max_id + 1, &edges)?)
+    let g = Graph::from_weighted_edges(max_id + 1, &edges)?;
+    let min_weight = edges
+        .iter()
+        .fold(f64::INFINITY, |acc, &(_, _, w)| acc.min(w));
+    let ratio = g.max_weight() / min_weight;
+    let bound = max_weight_ratio(g.n());
+    if ratio > bound {
+        return Err(EdgeListError::WeightRatio { ratio, bound });
+    }
+    Ok(g)
 }
 
 /// Loads an edge-list file (see the module docs for the format).
@@ -326,6 +360,13 @@ mod tests {
             parse_edge_list("# only comments\n".as_bytes()),
             Err(EdgeListError::Empty)
         ));
+        // Weights outside the polynomial bound: a 1e200:1 spread on four
+        // vertices is rejected; a 1e6:1 spread is within max(4, 32)^4.
+        assert!(matches!(
+            parse_edge_list("0 1 1e200\n1 2 1\n2 0 1\n2 3 5\n".as_bytes()),
+            Err(EdgeListError::WeightRatio { .. })
+        ));
+        assert!(parse_edge_list("0 1 1e6\n1 2 1\n2 0 1\n2 3 5\n".as_bytes()).is_ok());
     }
 
     #[test]

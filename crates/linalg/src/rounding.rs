@@ -7,7 +7,7 @@
 //! (rounding toward zero) is essential — it keeps every approximation an
 //! under-approximation, which §2.5's coupling argument relies on.
 
-use crate::{Matrix, SingularMatrixError};
+use crate::Matrix;
 
 /// A fixed-point precision specification: values are truncated to
 /// `fractional_bits` binary digits after the point.
@@ -107,34 +107,13 @@ impl FixedPoint {
 
 /// The per-squaring rounding rule of the power pipelines — what
 /// `round(M)` means in Algorithm 1 / Lemma 7.
-///
-/// `F32` is the opt-in reduced-precision fast path: entries are rounded
-/// **toward zero** to the nearest representable IEEE binary32 value and
-/// widened back to `f64`. Widening is exact, so the pipeline's `f64`
-/// kernels running on quantized entries compute bit for bit what true
-/// f32-storage kernels with `f64` accumulators compute (see
-/// [`crate::MatrixF32`]) — the quantization *is* the f32 mode.
-/// Rounding toward zero (not to nearest) keeps every rounded matrix an
-/// entry-wise under-approximation, the property §2.5's coupling
-/// argument and the Las Vegas restart logic rely on; binary32's 24-bit
-/// significand plays the role of Lemma 7's truncation width, with
-/// per-entry loss at most `δ = 2⁻²⁴` on probabilities in `[0, 1]`
-/// (checked by this module's tests against the Lemma 7 recurrence).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rounding {
     /// No rounding between squarings (plain `f64`).
     Exact,
     /// Fixed-point truncation toward zero (Lemma 7's `round`).
     Fixed(FixedPoint),
-    /// Truncation toward zero to IEEE binary32 (the f32 fast path).
-    F32,
 }
-
-/// The significand width of IEEE binary32 — [`Rounding::F32`]'s
-/// effective truncation width in the Lemma 7 analysis: for entries in
-/// `[0, 1]`, rounding toward zero to binary32 loses at most `2⁻²⁴`
-/// per entry (subnormals lose even less in absolute terms).
-pub const F32_MANTISSA_BITS: u32 = 24;
 
 impl Rounding {
     /// `true` when no rounding is applied (the default f64 route).
@@ -151,7 +130,6 @@ impl Rounding {
         match self {
             Rounding::Exact => x,
             Rounding::Fixed(fp) => fp.truncate(x),
-            Rounding::F32 => f32_trunc(x),
         }
     }
 
@@ -160,42 +138,18 @@ impl Rounding {
         match self {
             Rounding::Exact => {}
             Rounding::Fixed(fp) => fp.truncate_matrix_inplace(m),
-            Rounding::F32 => m.map_inplace(f32_trunc),
         }
     }
 
     /// How many `O(log n)`-bit machine words one rounded entry occupies
     /// in the Congested Clique (the round ledger's `words_per_entry`):
     /// exact `f64` entries count as one word by the repo's long-standing
-    /// convention, fixed-point entries per [`FixedPoint::words_per_entry`],
-    /// and binary32 entries as a 32-bit payload.
+    /// convention, fixed-point entries per [`FixedPoint::words_per_entry`].
     pub fn words_per_entry(self, n: usize) -> usize {
         match self {
             Rounding::Exact => 1,
             Rounding::Fixed(fp) => fp.words_per_entry(n),
-            Rounding::F32 => {
-                let word_bits = (usize::BITS - n.max(2).leading_zeros()) as usize;
-                (F32_MANTISSA_BITS as usize + 8).div_ceil(word_bits).max(1)
-            }
         }
-    }
-}
-
-/// Rounds a non-negative `f64` toward zero to the binary32 grid and
-/// widens back. `x as f32` rounds to *nearest*, which may over-
-/// approximate; when it does, step down one binary32 ulp (for positive
-/// finite values, decrementing the bit pattern is exactly `next_down`).
-fn f32_trunc(x: f64) -> f64 {
-    debug_assert!(
-        x >= 0.0,
-        "f32 truncation expects non-negative values, got {x}"
-    );
-    let nearest = x as f32;
-    let wide = f64::from(nearest);
-    if wide > x {
-        f64::from(f32::from_bits(nearest.to_bits() - 1))
-    } else {
-        wide
     }
 }
 
@@ -269,24 +223,6 @@ pub fn shift_to_subtractive(weights: &mut [f64], delta: f64) {
     for w in weights {
         *w = (*w - delta / 2.0).max(0.0);
     }
-}
-
-/// Reference: exact power table for comparison, re-exported convenience
-/// around [`crate::stochastic::powers_of_two`].
-///
-/// # Errors
-///
-/// Returns an error if `m` is not square (mirrors the panic-free API the
-/// experiment harness prefers).
-pub fn powers_exact_checked(
-    m: &Matrix,
-    levels: usize,
-    threads: usize,
-) -> Result<Vec<Matrix>, SingularMatrixError> {
-    if !m.is_square() || levels == 0 {
-        return Err(SingularMatrixError);
-    }
-    Ok(crate::stochastic::powers_of_two(m, levels, threads))
 }
 
 #[cfg(test)]
@@ -390,73 +326,21 @@ mod tests {
     }
 
     #[test]
-    fn f32_rounding_truncates_toward_zero() {
-        // Every rounded value is representable in binary32, never above
-        // the input, and within one binary32 ulp (≤ 2⁻²⁴ relative on
-        // normal values; [0,1] entries lose ≤ 2⁻²⁴ absolute).
-        for i in 0..4096 {
-            let x = (i as f64) * 0.000_244_140_625 + 1e-13; // dense in (0, 1]
-            let t = Rounding::F32.apply(x);
-            assert_eq!(t, f64::from(t as f32), "not on the f32 grid: {t}");
-            assert!(t <= x, "over-approximated {x} -> {t}");
-            assert!(x - t <= (0.5f64).powi(24), "lost too much: {x} -> {t}");
-        }
-        // Exact binary32 values pass through untouched.
-        assert_eq!(Rounding::F32.apply(0.5), 0.5);
-        assert_eq!(Rounding::F32.apply(0.0), 0.0);
-        // 1/3 rounds *down* even though the nearest f32 is above it.
-        let third = Rounding::F32.apply(1.0 / 3.0);
-        assert!(third < 1.0 / 3.0);
-        assert!(f64::from((1.0f64 / 3.0) as f32) > 1.0 / 3.0);
-    }
-
-    #[test]
     fn rounding_variants_dispatch() {
         let fp = FixedPoint::new(4);
         assert!(Rounding::Exact.is_exact());
-        assert!(!Rounding::F32.is_exact() && !Rounding::Fixed(fp).is_exact());
+        assert!(!Rounding::Fixed(fp).is_exact());
         assert_eq!(Rounding::Exact.apply(1.0 / 3.0), 1.0 / 3.0);
         assert_eq!(Rounding::Fixed(fp).apply(1.0 / 3.0), 5.0 / 16.0);
         let mut m = Matrix::from_rows(&[vec![1.0 / 3.0, 0.5]]);
-        Rounding::F32.round_matrix_inplace(&mut m);
-        assert_eq!(m[(0, 0)], Rounding::F32.apply(1.0 / 3.0));
+        Rounding::Fixed(fp).round_matrix_inplace(&mut m);
+        assert_eq!(m[(0, 0)], 5.0 / 16.0);
         assert_eq!(m[(0, 1)], 0.5);
-        // Ledger word widths: exact = 1, f32 = a 32-bit payload.
+        // Ledger word widths: exact = 1 by convention.
         assert_eq!(Rounding::Exact.words_per_entry(1024), 1);
-        assert_eq!(Rounding::F32.words_per_entry(1024), 3); // ceil(32/11)
         assert_eq!(
             Rounding::Fixed(fp).words_per_entry(1024),
             fp.words_per_entry(1024)
         );
-    }
-
-    #[test]
-    fn f32_powers_satisfy_the_lemma7_recurrence() {
-        // The binary32 significand is Lemma 7's truncation width: with
-        // δ = 2⁻²⁴, iterated squaring with F32 rounding must stay an
-        // under-approximation within E(2^k) ≤ δ·2·(n+1)^k.
-        let p = p3();
-        let n = p.rows();
-        let delta = (0.5f64).powi(F32_MANTISSA_BITS as i32);
-        let levels = 6;
-        let exact = powers_of_two(&p, levels, 1);
-        let mut rounded = Vec::with_capacity(levels);
-        let mut first = p.clone();
-        Rounding::F32.round_matrix_inplace(&mut first);
-        rounded.push(first);
-        for _ in 1..levels {
-            let last = rounded.last().unwrap();
-            let mut sq = last.matmul(last);
-            Rounding::F32.round_matrix_inplace(&mut sq);
-            rounded.push(sq);
-        }
-        let (_, per) = subtractive_error(&exact, &rounded);
-        for (k, &err) in per.iter().enumerate() {
-            let bound = 2.0 * delta * ((n as f64) + 1.0).powi(k as i32);
-            assert!(err <= bound, "level {k}: {err} > {bound}");
-        }
-        for r in &rounded {
-            assert!(is_row_substochastic(r, 1e-12));
-        }
     }
 }

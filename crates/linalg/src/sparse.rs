@@ -257,13 +257,6 @@ impl CsrMatrix {
         }
     }
 
-    /// The raw CSR arrays `(row_ptr, col_idx, values)` — read-only
-    /// structure access for alternate-storage mirrors (e.g.
-    /// [`crate::CsrMatrixF32`]).
-    pub fn raw_parts(&self) -> (&[usize], &[u32], &[f64]) {
-        (&self.row_ptr, &self.col_idx, &self.values)
-    }
-
     /// Sum of row `i`'s entries, in increasing column order.
     ///
     /// Bit-identical to summing the dense row left to right: the skipped

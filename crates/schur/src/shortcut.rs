@@ -10,9 +10,12 @@
 //!   `Q = (I − T)^{-1} · A` (reference);
 //! * [`shortcut_by_squaring`] — the paper's distributed route
 //!   (Corollary 2): iterated squaring of the `2n × 2n` absorbing chain
-//!   `R`, which converges to `R^∞` with `Q[u,v] = R^∞[u', v'']`. Returns
-//!   the number of multiplications so the caller (`cct-core`) can charge
-//!   matrix-multiplication rounds.
+//!   `R`, which converges to `R^∞` with `Q[u,v] = R^∞[u', v'']`. It
+//!   squares only the chain's two live `n × n` blocks, in either matrix
+//!   representation ([`Repr`]), and returns the number of
+//!   multiplications so the caller (`cct-core`) can charge
+//!   matrix-multiplication rounds. [`shortcut_by_squaring_dense`] squares
+//!   the full chain and is kept as the bit-identity reference.
 
 use crate::VertexSubset;
 use cct_graph::Graph;
@@ -78,27 +81,47 @@ pub fn absorbing_chain(g: &Graph, s: &VertexSubset) -> Matrix {
 /// The two live blocks of the Corollary-2 absorbing chain: the transient
 /// block `T = R[L, L]` (walk stays outside `S`) and the absorption block
 /// `A = R[L, R]` (mass that has arrived in `S`, indexed by the pre-entry
-/// vertex). The bottom half `[0, I]` is constant under squaring and never
-/// materialized.
-pub fn absorbing_chain_blocks(g: &Graph, s: &VertexSubset) -> (Matrix, Matrix) {
+/// vertex), in the requested representation. The bottom half `[0, I]` is
+/// constant under squaring and never materialized.
+///
+/// Both blocks are assembled as CSR from the rows of the sparse
+/// transition matrix (one entry per edge leaving `S`, plus the diagonal
+/// of `A`) and densified for [`Repr::Dense`]. Entry values and the
+/// per-row accumulation order are those of [`absorbing_chain`], so the
+/// blocks are bit-identical to its `[L, L]` and `[L, R]` blocks.
+///
+/// # Panics
+///
+/// Panics if the subset universe mismatches the graph.
+pub fn absorbing_chain_blocks(g: &Graph, s: &VertexSubset, repr: Repr) -> (PMatrix, PMatrix) {
     let n = g.n();
     assert_eq!(s.universe(), n, "subset universe must match graph");
-    let p = g.transition_matrix();
-    let mut t = Matrix::zeros(n, n);
-    let mut a = Matrix::zeros(n, n);
+    let p = g.transition_pmatrix(Repr::Sparse);
+    let mut tb = CsrMatrix::builder(n, n);
+    let mut ab = CsrMatrix::builder(n, n);
     for u in 0..n {
-        for v in 0..n {
-            if p[(u, v)] == 0.0 {
-                continue;
-            }
+        let mut absorb = 0.0f64;
+        // Columns arrive in increasing order, matching the dense
+        // chain's `for v in 0..n` sweep.
+        p.for_each_in_row(u, |v, p_uv| {
             if s.contains(v) {
-                a[(u, u)] += p[(u, v)];
+                absorb += p_uv;
             } else {
-                t[(u, v)] += p[(u, v)];
+                tb.push(v, p_uv);
             }
-        }
+        });
+        tb.finish_row();
+        ab.push(u, absorb);
+        ab.finish_row();
     }
-    (t, a)
+    let (t, a) = (PMatrix::Sparse(tb.build()), PMatrix::Sparse(ab.build()));
+    match repr {
+        Repr::Dense => (
+            PMatrix::Dense(t.into_dense()),
+            PMatrix::Dense(a.into_dense()),
+        ),
+        Repr::Sparse => (t, a),
+    }
 }
 
 /// Corollary 2: computes `Q` by iterated squaring of the absorbing chain
@@ -110,14 +133,17 @@ pub fn absorbing_chain_blocks(g: &Graph, s: &VertexSubset) -> (Matrix, Matrix) {
 ///
 /// The chain `R = [[T, A], [0, I]]` is block triangular with a constant
 /// bottom half, so `R² = [[T², TA + A], [0, I]]`: each squaring is two
-/// `n × n` products — `(T, A) ← (T², TA + A)` — written into reused
-/// scratch buffers, instead of the eight-`n × n`-multiply-equivalent
-/// dense `2n × 2n` square. The result is bit-identical to the dense route
-/// ([`shortcut_by_squaring_dense`], kept as the reference): every entry
-/// accumulates the same products in the same order.
+/// `n × n` products — `(T, A) ← (T², TA + A)` — instead of the
+/// eight-`n × n`-multiply-equivalent dense `2n × 2n` square. The blocks
+/// start in `repr`; the sparse route squares CSR blocks, promoting to
+/// dense as fill-in crosses the [`PMatrix`] tracker's break-even, and
+/// `Q` comes back in whatever representation the loop ended in.
 ///
-/// The result under-approximates the true `Q` by at most the residual
-/// transient mass (a subtractive error, as §2.4 requires).
+/// The result is bit-identical to [`shortcut_by_squaring_dense`] (kept
+/// as the reference) in every representation: every entry accumulates
+/// the same products in the same order, and the convergence check reads
+/// the same row sums. It under-approximates the true `Q` by at most the
+/// residual transient mass (a subtractive error, as §2.4 requires).
 ///
 /// # Panics
 ///
@@ -127,116 +153,22 @@ pub fn shortcut_by_squaring(
     s: &VertexSubset,
     tol: f64,
     max_squarings: usize,
-) -> (Matrix, usize) {
+    repr: Repr,
+) -> (PMatrix, usize) {
     let n = g.n();
     assert!(!s.is_empty(), "S must be non-empty");
-    let (mut t, mut a) = absorbing_chain_blocks(g, s);
-    let mut t_next = Matrix::zeros(n, n);
-    let mut a_next = Matrix::zeros(n, n);
+    let (mut t, mut a) = absorbing_chain_blocks(g, s, repr);
     let mut used = 0;
     while used < max_squarings {
         // Largest remaining transient mass: max over rows of `T`'s total.
-        let worst: f64 = (0..n)
-            .map(|u| t.row(u).iter().sum::<f64>())
-            .fold(0.0, f64::max);
+        let worst: f64 = (0..n).map(|u| t.row_sum(u)).fold(0.0, f64::max);
         if worst <= tol {
             break;
         }
         // (T, A) ← (T², T·A + A). The dense 2n × 2n kernel accumulates
         // the `T·A` inner products first (inner index < n) and the lone
-        // `A·I` term last — matched here by `matmul_into` then
+        // `A·I` term last — matched here by the product then
         // `add_in_place`, so the blocks stay bit-identical to it.
-        t.square_into(&mut t_next);
-        t.matmul_into(&a, &mut a_next);
-        a_next.add_in_place(&a);
-        std::mem::swap(&mut t, &mut t_next);
-        std::mem::swap(&mut a, &mut a_next);
-        used += 1;
-    }
-    (a, used)
-}
-
-/// The Corollary-2 live blocks in the requested representation: the
-/// sparse route builds `T` (one CSR entry per edge leaving `S`) and the
-/// diagonal `A` directly from the adjacency lists, without the dense
-/// `n × n` buffers. Entry values use the same `w/deg` arithmetic and
-/// per-row accumulation order as [`absorbing_chain_blocks`], so the two
-/// representations hold bit-identical probabilities.
-///
-/// # Panics
-///
-/// Panics if the subset universe mismatches the graph.
-pub fn absorbing_chain_blocks_p(g: &Graph, s: &VertexSubset, repr: Repr) -> (PMatrix, PMatrix) {
-    let n = g.n();
-    assert_eq!(s.universe(), n, "subset universe must match graph");
-    match repr {
-        Repr::Dense => {
-            let (t, a) = absorbing_chain_blocks(g, s);
-            (PMatrix::Dense(t), PMatrix::Dense(a))
-        }
-        Repr::Sparse => {
-            let mut tb = CsrMatrix::builder(n, n);
-            let mut ab = CsrMatrix::builder(n, n);
-            for u in 0..n {
-                let d = g.degree(u);
-                let mut absorb = 0.0f64;
-                for &(v, w) in g.neighbors(u) {
-                    // Same accumulation order as the dense route: the
-                    // adjacency list is sorted by v, matching its
-                    // `for v in 0..n` sweep.
-                    let p_uv = w / d;
-                    if s.contains(v) {
-                        absorb += p_uv;
-                    } else {
-                        tb.push(v, p_uv);
-                    }
-                }
-                tb.finish_row();
-                ab.push(u, absorb);
-                ab.finish_row();
-            }
-            (PMatrix::Sparse(tb.build()), PMatrix::Sparse(ab.build()))
-        }
-    }
-}
-
-/// [`shortcut_by_squaring`] on the representation-adaptive backend:
-/// starts in `repr` (the sparse route squares CSR blocks, promoting to
-/// dense automatically as fill-in crosses the [`PMatrix`] tracker's
-/// break-even) and returns `Q` in whatever representation it ended in.
-///
-/// The result is **bit-identical** to [`shortcut_by_squaring`] (and so
-/// to [`shortcut_by_squaring_dense`]) for every representation: each
-/// squaring performs `(T, A) ← (T², T·A + A)` with the same per-entry
-/// accumulation order in both kernels, and the convergence check reads
-/// the same row sums. Unit- and property-tested at exact equality.
-///
-/// # Panics
-///
-/// Panics if `s` is empty or the universe mismatches.
-pub fn shortcut_by_squaring_pmatrix(
-    g: &Graph,
-    s: &VertexSubset,
-    tol: f64,
-    max_squarings: usize,
-    repr: Repr,
-) -> (PMatrix, usize) {
-    if repr == Repr::Dense {
-        let (q, used) = shortcut_by_squaring(g, s, tol, max_squarings);
-        return (PMatrix::Dense(q), used);
-    }
-    let n = g.n();
-    assert!(!s.is_empty(), "S must be non-empty");
-    let (mut t, mut a) = absorbing_chain_blocks_p(g, s, Repr::Sparse);
-    let mut used = 0;
-    while used < max_squarings {
-        let worst: f64 = (0..n).map(|u| t.row_sum(u)).fold(0.0, f64::max);
-        if worst <= tol {
-            break;
-        }
-        // (T, A) ← (T², T·A + A), exactly as the dense block route —
-        // the sparse kernels consume the inner index in the same
-        // strictly increasing order, and the `+ A` term lands last.
         let t_next = t.square(1);
         let mut a_next = t.matmul(&a, 1);
         a_next.add_in_place(&a);
@@ -381,7 +313,8 @@ mod tests {
         ] {
             let s = VertexSubset::new(g.n(), &[0, 1, 2]);
             let exact = shortcut_exact(&g, &s);
-            let (approx, used) = shortcut_by_squaring(&g, &s, 1e-12, 64);
+            let (approx, used) = shortcut_by_squaring(&g, &s, 1e-12, 64, Repr::Dense);
+            let approx = approx.into_dense();
             assert!(used > 0);
             assert!(
                 exact.max_abs_diff(&approx) < 1e-9,
@@ -410,19 +343,19 @@ mod tests {
         ] {
             let s = VertexSubset::new(g.n(), &[0, 1, 2]);
             for tol in [1e-3, 1e-12] {
-                let (block, used_b) = shortcut_by_squaring(&g, &s, tol, 64);
+                let (block, used_b) = shortcut_by_squaring(&g, &s, tol, 64, Repr::Dense);
                 let (dense, used_d) = shortcut_by_squaring_dense(&g, &s, tol, 64);
                 assert_eq!(used_b, used_d, "n = {}, tol = {tol}", g.n());
                 // Same products, same accumulation order: exactly equal,
                 // not merely close.
-                assert_eq!(block, dense, "n = {}, tol = {tol}", g.n());
+                assert_eq!(block.into_dense(), dense, "n = {}, tol = {tol}", g.n());
             }
         }
     }
 
     #[test]
     fn pmatrix_squaring_is_bit_identical_in_both_representations() {
-        // The adaptive route must reproduce the dense block route
+        // The block route must reproduce the full-chain reference
         // exactly — same Q bits, same squaring count — whether it starts
         // sparse (promoting as fill-in grows) or dense.
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
@@ -434,9 +367,9 @@ mod tests {
         ] {
             let s = VertexSubset::new(g.n(), &[0, 1, 2]);
             for tol in [1e-3, 1e-12] {
-                let (reference, used_ref) = shortcut_by_squaring(&g, &s, tol, 64);
+                let (reference, used_ref) = shortcut_by_squaring_dense(&g, &s, tol, 64);
                 for repr in [Repr::Dense, Repr::Sparse] {
-                    let (q, used) = shortcut_by_squaring_pmatrix(&g, &s, tol, 64, repr);
+                    let (q, used) = shortcut_by_squaring(&g, &s, tol, 64, repr);
                     assert_eq!(used, used_ref, "n = {}, tol = {tol}, {repr:?}", g.n());
                     assert_eq!(
                         q.to_dense(),
@@ -457,26 +390,36 @@ mod tests {
             generators::erdos_renyi_connected(11, 0.4, &mut rng),
         ] {
             let s = VertexSubset::new(g.n(), &[0, 2, 4]);
-            let (td, ad) = absorbing_chain_blocks(&g, &s);
-            let (ts, asp) = absorbing_chain_blocks_p(&g, &s, Repr::Sparse);
+            let (td, ad) = absorbing_chain_blocks(&g, &s, Repr::Dense);
+            let (ts, asp) = absorbing_chain_blocks(&g, &s, Repr::Sparse);
             assert!(ts.is_sparse() && asp.is_sparse());
-            assert_eq!(ts.to_dense(), td);
-            assert_eq!(asp.to_dense(), ad);
+            assert!(!td.is_sparse() && !ad.is_sparse());
+            assert_eq!(ts.to_dense(), td.to_dense());
+            assert_eq!(asp.to_dense(), ad.to_dense());
         }
     }
 
     #[test]
     fn absorbing_chain_blocks_match_full_chain() {
-        let (g, s) = figure2();
-        let full = absorbing_chain(&g, &s);
-        let (t, a) = absorbing_chain_blocks(&g, &s);
-        let n = g.n();
-        for u in 0..n {
-            for v in 0..n {
-                assert_eq!(t[(u, v)], full[(u, v)]);
-                assert_eq!(a[(u, v)], full[(u, n + v)]);
-                assert_eq!(full[(n + u, v)], 0.0);
-                assert_eq!(full[(n + u, n + v)], f64::from(u == v));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        for g in [
+            figure2().0,
+            generators::lollipop(4, 3),
+            generators::erdos_renyi_connected(11, 0.4, &mut rng),
+        ] {
+            let n = g.n();
+            let s = VertexSubset::new(n, &[0, 1, 3]);
+            let full = absorbing_chain(&g, &s);
+            for repr in [Repr::Dense, Repr::Sparse] {
+                let (t, a) = absorbing_chain_blocks(&g, &s, repr);
+                for u in 0..n {
+                    for v in 0..n {
+                        assert_eq!(t.get(u, v), full[(u, v)], "{repr:?}");
+                        assert_eq!(a.get(u, v), full[(u, n + v)], "{repr:?}");
+                        assert_eq!(full[(n + u, v)], 0.0);
+                        assert_eq!(full[(n + u, n + v)], f64::from(u == v));
+                    }
+                }
             }
         }
     }

@@ -20,7 +20,7 @@
 //!   table, so the key is retried rather than cached as broken.
 
 use crate::request::Algorithm;
-use cct_core::{Backend, Precision, PreparedSampler};
+use cct_core::{Backend, PreparedSampler};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -32,23 +32,18 @@ use std::sync::{Arc, Condvar, Mutex};
 const MAX_TRACKED_KEYS: usize = 1024;
 
 /// What a cache entry is keyed by. Two requests share prepared state
-/// iff they agree on the algorithm, the matrix backend, the arithmetic
-/// precision, *and* the graph spec string. The backend is part of the
-/// key because preparation materializes backend-specific state (a
-/// dense-prepared power table must never be replayed to serve a
-/// sparse-backend request — the draws would still be byte-identical,
-/// but the memory profile the client asked for would silently not
-/// exist). Precision is part of the key because an f32-prepared power
-/// table holds *different numbers* than an f64 one: replaying across
-/// precisions would change the served draws, not just the footprint.
+/// iff they agree on the algorithm, the matrix backend, *and* the graph
+/// spec string. The backend is part of the key because preparation
+/// materializes backend-specific state (a dense-prepared power table
+/// must never be replayed to serve a sparse-backend request — the draws
+/// would still be byte-identical, but the memory profile the client
+/// asked for would silently not exist).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CacheKey {
     /// The phase sampler.
     pub algorithm: Algorithm,
     /// The matrix backend the sampler prepares under.
     pub backend: Backend,
-    /// The arithmetic precision the power table is rounded to.
-    pub precision: Precision,
     /// The graph spec string (denotes one fixed graph; see
     /// [`crate::spec_seed`]).
     pub graph_spec: String,
@@ -56,11 +51,7 @@ pub struct CacheKey {
 
 impl std::fmt::Display for CacheKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}:{}:{}:{}",
-            self.algorithm, self.backend, self.precision, self.graph_spec
-        )
+        write!(f, "{}:{}:{}", self.algorithm, self.backend, self.graph_spec)
     }
 }
 
@@ -362,7 +353,6 @@ mod tests {
         CacheKey {
             algorithm: Algorithm::Thm1,
             backend: Backend::Auto,
-            precision: Precision::Float64,
             graph_spec: spec.into(),
         }
     }
@@ -410,7 +400,6 @@ mod tests {
         let mk = |backend: Backend| CacheKey {
             algorithm: Algorithm::Thm1,
             backend,
-            precision: Precision::Float64,
             graph_spec: "complete:8".into(),
         };
         let (dense, _) = cache.get_or_prepare(&mk(Backend::Dense), || prepare(8));
@@ -434,28 +423,6 @@ mod tests {
                 .1
                 .hit
         );
-    }
-
-    #[test]
-    fn precision_is_part_of_the_key_never_colliding_entries() {
-        // An f32-prepared power table holds different numbers than an
-        // f64 one: replaying across precisions would change the served
-        // draws, so each precision owns its own entry.
-        let cache = PreparedCache::new(4);
-        let mk = |precision: Precision| CacheKey {
-            algorithm: Algorithm::Thm1,
-            backend: Backend::Auto,
-            precision,
-            graph_spec: "complete:8".into(),
-        };
-        let (f64e, _) = cache.get_or_prepare(&mk(Precision::Float64), || prepare(8));
-        let (f32e, info) = cache.get_or_prepare(&mk(Precision::F32), || prepare(8));
-        assert!(!info.hit, "f32 request must not hit the f64 entry");
-        assert!(!Arc::ptr_eq(&f64e.unwrap(), &f32e.unwrap()));
-        let stats = cache.stats();
-        assert_eq!((stats.misses, stats.len), (2, 2));
-        // The key's display names the precision between backend and spec.
-        assert_eq!(mk(Precision::F32).to_string(), "thm1:auto:f32:complete:8");
     }
 
     #[test]

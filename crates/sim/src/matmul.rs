@@ -596,33 +596,17 @@ impl MatMulEngine for UnitCostEngine {
 /// to machine `j` — `n` entries per machine per power, i.e.
 /// `words_per_entry` rounds by Lenzen routing).
 ///
+/// The table holds [`PMatrix`] levels, so the early powers of a sparse
+/// transition matrix stay CSR (this is where the sparse backend's
+/// memory win lands — squaring promotes later levels to dense through
+/// the fill-in tracker). Round and word charges, and the computed bits,
+/// are the same in either representation.
+///
 /// Returns the power table: index `k` holds `M^{2^k}`.
 ///
 /// # Panics
 ///
 /// Panics if `m` is not `n × n` for the clique's `n`, or `levels == 0`.
-pub fn distributed_powers(
-    clique: &mut Clique,
-    engine: &dyn MatMulEngine,
-    m: &Matrix,
-    levels: usize,
-    rounding: Rounding,
-) -> Vec<Matrix> {
-    distributed_powers_impl(clique, m, levels, rounding, |clique, last| {
-        engine.multiply(clique, last, last)
-    })
-}
-
-/// [`distributed_powers`] on the representation-adaptive backend: the
-/// table holds [`PMatrix`] levels, so the early powers of a sparse
-/// transition matrix stay CSR (this is where the sparse backend's
-/// memory win lands — squaring promotes later levels to dense through
-/// the fill-in tracker). Round and word charges are identical to the
-/// dense route, and so are the computed bits.
-///
-/// # Panics
-///
-/// As [`distributed_powers`].
 pub fn distributed_powers_p(
     clique: &mut Clique,
     engine: &dyn MatMulEngine,
@@ -630,9 +614,29 @@ pub fn distributed_powers_p(
     levels: usize,
     rounding: Rounding,
 ) -> Vec<PMatrix> {
-    distributed_powers_impl(clique, m, levels, rounding, |clique, last| {
-        engine.multiply_p(clique, last, last)
-    })
+    let n = clique.n();
+    assert_eq!(m.shape(), (n, n), "matrix must match clique size");
+    assert!(levels > 0, "need at least one level");
+    let wpe = rounding.words_per_entry(n) as u64;
+    let mut table = Vec::with_capacity(levels);
+    let mut first = m.clone();
+    first.round_inplace(rounding);
+    table.push(first);
+    for _ in 1..levels {
+        let last = table.last().expect("non-empty");
+        // Round the engine's product in place: no clone-per-level.
+        let mut sq = engine.multiply_p(clique, last, last);
+        sq.round_inplace(rounding);
+        table.push(sq);
+    }
+    // Step 3 of Algorithm 1: column redistribution of every power.
+    for _ in 0..levels {
+        clique.ledger_mut().charge(CostCategory::MatMul, wpe);
+        clique
+            .ledger_mut()
+            .add_words(CostCategory::MatMul, (n * n) as u64 * wpe);
+    }
+    table
 }
 
 /// A lazily materialized Algorithm-1 power table: level `k` holds
@@ -827,7 +831,7 @@ impl std::fmt::Debug for DeferredPowers {
 ///
 /// # Panics
 ///
-/// As [`distributed_powers`].
+/// As [`distributed_powers_p`].
 pub fn distributed_powers_deferred(
     clique: &mut Clique,
     engine: &dyn MatMulEngine,
@@ -863,62 +867,6 @@ pub fn distributed_powers_deferred(
     let mut first = m.clone();
     first.round_inplace(rounding);
     DeferredPowers::lazy(first, levels, threads, rounding)
-}
-
-/// The shared Algorithm-1 skeleton behind both power-table builders.
-trait PowerLevel: Clone {
-    fn shape(&self) -> (usize, usize);
-    fn round(&mut self, rounding: Rounding);
-}
-
-impl PowerLevel for Matrix {
-    fn shape(&self) -> (usize, usize) {
-        Matrix::shape(self)
-    }
-    fn round(&mut self, rounding: Rounding) {
-        rounding.round_matrix_inplace(self);
-    }
-}
-
-impl PowerLevel for PMatrix {
-    fn shape(&self) -> (usize, usize) {
-        PMatrix::shape(self)
-    }
-    fn round(&mut self, rounding: Rounding) {
-        self.round_inplace(rounding);
-    }
-}
-
-fn distributed_powers_impl<M: PowerLevel>(
-    clique: &mut Clique,
-    m: &M,
-    levels: usize,
-    rounding: Rounding,
-    mut square: impl FnMut(&mut Clique, &M) -> M,
-) -> Vec<M> {
-    let n = clique.n();
-    assert_eq!(m.shape(), (n, n), "matrix must match clique size");
-    assert!(levels > 0, "need at least one level");
-    let wpe = rounding.words_per_entry(n) as u64;
-    let mut table = Vec::with_capacity(levels);
-    let mut first = m.clone();
-    first.round(rounding);
-    table.push(first);
-    for _ in 1..levels {
-        let last = table.last().expect("non-empty");
-        // Round the engine's product in place: no clone-per-level.
-        let mut sq = square(clique, last);
-        sq.round(rounding);
-        table.push(sq);
-    }
-    // Step 3 of Algorithm 1: column redistribution of every power.
-    for _ in 0..levels {
-        clique.ledger_mut().charge(CostCategory::MatMul, wpe);
-        clique
-            .ledger_mut()
-            .add_words(CostCategory::MatMul, (n * n) as u64 * wpe);
-    }
-    table
 }
 
 #[cfg(test)]
@@ -1024,19 +972,19 @@ mod tests {
         let n = 16;
         let p = random_stochastic(n, 8);
         let mut clique = Clique::new(n);
-        let table = distributed_powers(
+        let table = distributed_powers_p(
             &mut clique,
             &UnitCostEngine::default(),
-            &p,
+            &PMatrix::Dense(p.clone()),
             5,
             Rounding::Exact,
         );
         let expect = powers_of_two(&p, 5, 1);
         for (a, b) in table.iter().zip(&expect) {
-            assert!(a.max_abs_diff(b) < 1e-12);
+            assert_eq!(&a.to_dense(), b);
         }
         for m in &table {
-            assert!(is_row_stochastic(m, 1e-9));
+            assert!(is_row_stochastic(&m.to_dense(), 1e-9));
         }
     }
 
@@ -1046,15 +994,15 @@ mod tests {
         let p = random_stochastic(n, 9);
         let fp = FixedPoint::new(24);
         let mut clique = Clique::new(n);
-        let table = distributed_powers(
+        let table = distributed_powers_p(
             &mut clique,
             &UnitCostEngine::default(),
-            &p,
+            &PMatrix::Dense(p),
             4,
             Rounding::Fixed(fp),
         );
         for m in &table {
-            assert!(cct_linalg::is_row_substochastic(m, 1e-12));
+            assert!(cct_linalg::is_row_substochastic(&m.to_dense(), 1e-12));
         }
         // Squaring count: 3 multiplies + 4 column redistributions.
         let wpe = fp.words_per_entry(n) as u64;
@@ -1110,11 +1058,12 @@ mod tests {
     fn distributed_powers_p_matches_dense_table_and_ledger() {
         let n = 16;
         let p = random_stochastic(n, 8);
+        let dense_table = powers_of_two(&p, 5, 1);
         let mut dense_clique = Clique::new(n);
-        let dense_table = distributed_powers(
+        distributed_powers_p(
             &mut dense_clique,
             &UnitCostEngine::default(),
-            &p,
+            &PMatrix::Dense(p.clone()),
             5,
             Rounding::Exact,
         );
@@ -1180,11 +1129,7 @@ mod tests {
             Box::new(UnitCostEngine { threads: 1 }),
             Box::new(FastOracleEngine::new(ALPHA, 2, 1)),
         ];
-        for rounding in [
-            Rounding::Exact,
-            Rounding::Fixed(FixedPoint::new(24)),
-            Rounding::F32,
-        ] {
+        for rounding in [Rounding::Exact, Rounding::Fixed(FixedPoint::new(24))] {
             for engine in &engines {
                 let mut eager_clique = Clique::new(n);
                 let eager =

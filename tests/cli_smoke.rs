@@ -230,8 +230,17 @@ fn help_exits_zero_and_lists_algorithms() {
 
 #[test]
 fn unknown_algorithm_fails() {
-    let out = run_cct(&["not-an-algorithm"]);
-    assert!(!out.status.success(), "unknown algorithm must exit nonzero");
+    for args in [
+        &["not-an-algorithm"][..],
+        &["thm1", "--graph", "petersen", "--precision", "f32"][..],
+    ] {
+        let out = run_cct(args);
+        assert!(!out.status.success(), "{args:?} must exit nonzero");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown"),
+            "{args:?}: expected an unknown-argument error"
+        );
+    }
 }
 
 #[test]

@@ -171,3 +171,40 @@ fn bad_requests_exit_nonzero_with_the_server_message() {
     let ok = request(&socket, &["--graph", "petersen"]);
     assert!(ok.status.success());
 }
+
+#[test]
+fn out_of_bound_weight_ratios_get_typed_errors_not_panics() {
+    // A 1e200:1 weight spread used to overflow the walk-length budget
+    // and panic both phase samplers; now the loader rejects it with a
+    // typed error, on the CLI and through the service alike.
+    let path = std::env::temp_dir().join(format!("cct-heavy-{}.el", std::process::id()));
+    std::fs::write(&path, "0 1 1e200\n1 2 1\n2 0 1\n2 3 5\n").unwrap();
+    let spec = format!("file:{}", path.display());
+    for alg in ["thm1", "exact"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_cct"))
+            .args([alg, "--graph", &spec])
+            .output()
+            .expect("spawn cct");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{alg}: {stderr}");
+        assert!(stderr.contains("max/min ratio"), "{alg}: {stderr}");
+    }
+    let socket = socket_path("heavy");
+    let _server = spawn_server_with(&socket, &["--workers", "1"]);
+    let bad = request(&socket, &["--graph", &spec]);
+    assert!(!bad.status.success());
+    assert!(
+        String::from_utf8_lossy(&bad.stderr).contains("max/min ratio"),
+        "stderr: {}",
+        String::from_utf8_lossy(&bad.stderr)
+    );
+    // The lone worker survives and serves the next request.
+    let ok = request(&socket, &["--graph", "petersen"]);
+    assert!(ok.status.success());
+    assert!(String::from_utf8_lossy(&ok.stdout).starts_with("tree: "));
+    let stats = request(&socket, &["--stats"]);
+    let frame = cct::json::Json::parse(&String::from_utf8_lossy(&stats.stdout)).unwrap();
+    let errors = frame.get("stats").and_then(|s| s.get("errors"));
+    assert_eq!(errors.and_then(cct::json::Json::as_f64), Some(1.0));
+    std::fs::remove_file(&path).ok();
+}

@@ -8,12 +8,14 @@
 //!
 //! Gates mirror `crates/core/tests/parallel_uniformity.rs`: 8 000 trials
 //! per graph, a generous `2 × crit` chi-square threshold, and a < 1%
-//! Monte Carlo failure budget.
+//! Monte Carlo failure budget. The gate's power is checked too: at the
+//! same trial count it must reject the random-weight-MST strawman, a
+//! spanning-tree sampler known to be biased.
 
 use cct::core::{CliqueTreeSampler, EngineChoice, SamplerConfig, WalkLength, Workers};
 use cct::graph::{spanning_tree_count_exact, spanning_tree_distribution, Graph, SpanningTree};
 use cct::serve::{serve, spec_seed, SampleRequest, ServeOptions};
-use cct::walks::stats;
+use cct::walks::{random_weight_mst, stats};
 use rand::SeedableRng;
 use std::collections::HashMap;
 
@@ -33,24 +35,28 @@ fn weighted_oracle(g: &Graph, label: &str) -> Vec<(SpanningTree, f64)> {
     exact
 }
 
+/// The suite's verdict on one sample: `Err` with the reason when the
+/// Monte Carlo failure budget or the `2 × crit` chi-square bound is
+/// exceeded.
 fn chi_square_gate(
     counts: &HashMap<SpanningTree, usize>,
     exact: &[(SpanningTree, f64)],
     failures: usize,
     trials: usize,
     label: &str,
-) {
-    assert!(
-        failures * 100 < trials,
-        "{label}: {failures}/{trials} Monte Carlo failures"
-    );
+) -> Result<(), String> {
+    if failures * 100 >= trials {
+        return Err(format!("{label}: {failures}/{trials} Monte Carlo failures"));
+    }
     let effective = trials - failures;
     let (stat, crit) = stats::goodness_of_fit(counts, exact, effective);
-    assert!(
-        stat < 2.0 * crit,
-        "{label}: chi² = {stat:.1} ≥ 2 × {crit:.1} over {} trees",
-        exact.len()
-    );
+    if stat >= 2.0 * crit {
+        return Err(format!(
+            "{label}: chi² = {stat:.1} ≥ 2 × {crit:.1} over {} trees",
+            exact.len()
+        ));
+    }
+    Ok(())
 }
 
 fn assert_weighted_uniform(g: &Graph, config: SamplerConfig, seed: u64, label: &str) {
@@ -67,7 +73,7 @@ fn assert_weighted_uniform(g: &Graph, config: SamplerConfig, seed: u64, label: &
         }
         *counts.entry(report.tree).or_insert(0) += 1;
     }
-    chi_square_gate(&counts, &exact, failures, TRIALS, label);
+    chi_square_gate(&counts, &exact, failures, TRIALS, label).unwrap();
 }
 
 fn thm1_config(engine: EngineChoice) -> SamplerConfig {
@@ -219,5 +225,31 @@ fn served_draws_are_weight_proportional_on_weighted_spec() {
         }
         (counts, failures, trials)
     });
-    chi_square_gate(&counts, &exact, failures, trials, "served/cycle-w:4");
+    chi_square_gate(&counts, &exact, failures, trials, "served/cycle-w:4").unwrap();
+}
+
+#[test]
+fn chi_square_gate_rejects_the_mst_strawman() {
+    // The random-weight MST ignores edge weights, so the gate must
+    // reject it on this suite's weighted K4 and diamond at the same
+    // trial count that passes the real samplers. (On the *unweighted*
+    // K4 its bias is small — stars get 4/15 of the mass instead of 1/4
+    // — and 8 000 trials at 2 × crit do not resolve it.)
+    for (g, label) in [
+        (weighted_k4(), "K4-w/mst-strawman"),
+        (weighted_diamond(), "diamond-w/mst-strawman"),
+    ] {
+        let exact = weighted_oracle(&g, label);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3110);
+        let mut counts: HashMap<SpanningTree, usize> = HashMap::new();
+        for _ in 0..TRIALS {
+            let tree = random_weight_mst(&g, &mut rng).unwrap();
+            *counts.entry(tree).or_insert(0) += 1;
+        }
+        let verdict = chi_square_gate(&counts, &exact, 0, TRIALS, label);
+        assert!(
+            verdict.is_err(),
+            "{label}: the gate accepted a biased sampler"
+        );
+    }
 }
